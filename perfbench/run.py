@@ -4,10 +4,9 @@
 
 ``--trace 0`` prints the end-to-end metrics (untraced), ``--trace 1`` the
 per-layer metrics of a traced run.  ``--seed`` draws the queries (sources
-and arrival times); ``--query-seed`` is its long form.  Each workload's
-graph is a fixed dataset built from ``--graph-seed`` (default 1).  Graph
-seed 2 is the hold-out: re-check a claim there, on a graph its author did
-not tune on.
+and arrival times).  Each workload's graph is a fixed dataset built from
+``--graph-seed`` (default 1).  Graph seed 2 is the hold-out: re-check a
+claim there, on a graph its author did not tune on.
 
 Standard output carries one provenance row per metric,
 ``{bench, config, metric, value, unit, commit, env}``, then as its last
@@ -19,6 +18,7 @@ change the simulated digest, and the serving run was valid.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import math
@@ -61,6 +61,24 @@ def _env() -> dict[str, object]:
     }
 
 
+#: glibc's mallopt parameter for the number of malloc arenas
+M_ARENA_MAX = -8
+
+
+def _one_malloc_arena() -> None:
+    """Make every thread allocate from glibc's main arena (no-op elsewhere).
+
+    Otherwise the serving workload's worker thread gets an arena of its own,
+    memory freed in one arena is not reused by the other, and allocator
+    timing decided ``peak_rss_mb``: 94 or 128 MB for the same seed.  With one
+    arena it read 93-96 MB on every run.  Call before any thread starts.
+    """
+    try:
+        ctypes.CDLL("libc.so.6").mallopt(M_ARENA_MAX, 1)
+    except (OSError, AttributeError):
+        pass
+
+
 def _finite(value: float) -> float:
     # a failed query counts as missing every latency limit: report it as the
     # largest float, since JSON has no infinity
@@ -72,28 +90,26 @@ def main(argv: list[str] | None = None) -> int:
         print(f"perfbench: no package sources under {SRC}", file=sys.stderr)
         return 2
     sys.path.insert(0, str(SRC))
+    _one_malloc_arena()
     from workloads import WORKLOAD_NAMES, run_workload
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=WORKLOAD_NAMES)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--graph-seed", type=int, default=1)
-    parser.add_argument("--query-seed", type=int, default=None)
     parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--size", choices=("full", "tiny"), default="full",
                         help="tiny shrinks every workload for smoke tests")
     args = parser.parse_args(argv)
-    graph_seed = args.graph_seed
-    query_seed = args.seed if args.query_seed is None else args.query_seed
 
     outcome = run_workload(
-        args.workload, size=args.size, graph_seed=graph_seed, query_seed=query_seed,
+        args.workload, size=args.size, graph_seed=args.graph_seed, query_seed=args.seed,
         seconds=args.seconds, trace=bool(args.trace),
     )
     config = {
-        "workload": args.workload, "size": args.size, "graph_seed": graph_seed,
-        "query_seed": query_seed, "seconds": args.seconds, "trace": args.trace,
+        "workload": args.workload, "size": args.size, "graph_seed": args.graph_seed,
+        "query_seed": args.seed, "seconds": args.seconds, "trace": args.trace,
         "sim_digest": outcome.digest, "host_scale": outcome.host_scale,
     }
     commit, env = _commit(), _env()

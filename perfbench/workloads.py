@@ -49,6 +49,9 @@ WIRE_FAULTS = "drop=0.01,crash=0.15,recovery=spare,spares=2"
 #: a serving run is invalid when the load generator's p99 lateness exceeds this
 LATE_BOUND_MS = 25.0
 
+#: fewest open-loop replies for a p99 with 10 samples beyond it
+P99_MIN_REPLIES = 1000
+
 #: set-up repeats until this much host time is spent (short set-ups are noisy)
 SETUP_MIN_S = 2.0
 SETUP_MAX_REPS = 15
@@ -63,9 +66,14 @@ class HostScale:
     fixed reference kernel (NumPy sort/unique/bincount plus a Python dict
     loop, the simulator's own mix) is timed between measured operations,
     outside every timed region.  While raw traversal times moved by 8%, the
-    ratio of traversal time to kernel time held within 1%, so host seconds
-    are reported as ``raw * REFERENCE_S / mean kernel time``: seconds on
-    this machine at the speed where the kernel takes ``REFERENCE_S``.
+    ratio of traversal time to kernel time held within 1%, so the host
+    seconds of each operation are reported as ``raw * REFERENCE_S / kernel
+    time``, with the kernel time the mean of the samples just before and just
+    after it: seconds on this machine at the speed where the kernel takes
+    ``REFERENCE_S``.  Over six seeds on a 2-vCPU VM, this per-operation factor
+    left ``host_teps`` spreading 0.048 (poisson-2d-raw) and 0.074
+    (wire-faults), against 0.062 and 0.118 with one mean factor per run and
+    0.156 and 0.052 unscaled.
     """
 
     REFERENCE_S = 2.5e-3
@@ -88,13 +96,19 @@ class HostScale:
             counts[key] = counts.get(key, 0) + 1
         return time.perf_counter() - t0
 
-    def sample(self, reps: int = 3) -> None:
-        """Time the kernel ``reps`` times; keep the median (drops preemptions)."""
-        self._samples.append(statistics.median(self._kernel() for _ in range(reps)))
+    def sample(self, reps: int = 3) -> float:
+        """Time the kernel ``reps`` times; keep and return the median (drops preemptions)."""
+        seconds = statistics.median(self._kernel() for _ in range(reps))
+        self._samples.append(seconds)
+        return seconds
+
+    def between(self, before: float, after: float) -> float:
+        """Factor for an operation run between kernel samples ``before`` and ``after``."""
+        return 2 * self.REFERENCE_S / (before + after)
 
     @property
     def factor(self) -> float:
-        """Multiply raw host seconds by this to get reference-speed seconds."""
+        """The run's mean factor (reported as ``host_scale``)."""
         return self.REFERENCE_S / statistics.fmean(self._samples)
 
 
@@ -103,9 +117,9 @@ class ServeSpec:
     """Open-loop rate and phase sizing for the serving workload."""
 
     rate_qps: float
-    #: fewest open-loop queries: 20 samples lie past the p99, so one stall
-    #: does not set it
-    min_open: int
+    #: share of ``--seconds`` the open loop's arrivals span; the closed loop
+    #: runs for the rest
+    open_share: float
     #: fixed 64-wide batches run outside the service for the simulated clock
     sim_batches: int
 
@@ -164,7 +178,7 @@ def _workloads(size: str) -> dict[str, Workload]:
             poisson, (2, 2) if tiny else (4, 4), sources=32 if tiny else 256,
             setup_reps=reps,
             serve=ServeSpec(
-                rate_qps=120.0, min_open=40 if tiny else 2000,
+                rate_qps=120.0, open_share=0.75,
                 sim_batches=1 if tiny else 4,
             ),
         ),
@@ -335,16 +349,20 @@ class Traversal:
     levels_digest: str = ""
     digest: str = ""
     error: str | None = None
+    #: HostScale factor of this traversal (1 when unscaled)
+    factor: float = 1.0
 
 
 def traverse(session, sources: list[int], seconds: float, minimum: int,
              scale: HostScale | None = None) -> list[Traversal]:
     """Closed loop over ``sources`` (cycled) for ``seconds``, at least ``minimum``.
 
-    ``scale`` samples the reference kernel after every traversal.
+    ``scale`` samples the reference kernel before the first traversal and
+    after every traversal, and sets each traversal's factor.
     """
     out: list[Traversal] = []
     gc.collect()
+    before = scale.sample() if scale is not None else 0.0
     deadline = time.perf_counter() + seconds
     i = 0
     while i < minimum or time.perf_counter() < deadline:
@@ -362,7 +380,9 @@ def traverse(session, sources: list[int], seconds: float, minimum: int,
             result_digests(result)["combined"],
         ))
         if scale is not None:
-            scale.sample()
+            after = scale.sample()
+            out[-1].factor = scale.between(before, after)
+            before = after
     return out
 
 
@@ -382,11 +402,11 @@ def check_traversals(runs: list[Traversal], oracle: Oracle, tally: Tally) -> lis
     return edges
 
 
-def traversal_metrics(runs, edges, fixed: int, factor: float = 1.0) -> dict[str, float]:
-    """End-to-end metrics; host seconds are multiplied by ``factor``."""
+def traversal_metrics(runs, edges, fixed: int) -> dict[str, float]:
+    """End-to-end metrics; host seconds are multiplied by each traversal's factor."""
     ok = [(t, e) for t, e in zip(runs, edges) if t.error is None]
-    host = factor * sum(t.host_s for t, _ in ok)
-    latencies = [factor * t.host_s * 1e3 if t.error is None else math.inf for t in runs]
+    host = sum(t.factor * t.host_s for t, _ in ok)
+    latencies = [t.factor * t.host_s * 1e3 if t.error is None else math.inf for t in runs]
     head = [(t, e) for t, e in zip(runs[:fixed], edges[:fixed]) if t.error is None]
     sim = sum(t.elapsed for t, _ in head)
     return {
@@ -416,7 +436,8 @@ class ServeRun:
     open_batched: int = 0
     open_reply_ms: list[float] = field(default_factory=list)
     closed: list[tuple[int, object]] = field(default_factory=list)
-    closed_wall: float = 0.0
+    #: host seconds of each closed-loop round
+    closed_rounds: list[float] = field(default_factory=list)
     sim: list[Batch] = field(default_factory=list)
 
 
@@ -457,19 +478,20 @@ async def _open_loop(service, client, sources, gaps, run: ServeRun) -> None:
 
 
 async def _closed_loop(client, sources, seconds: float, run: ServeRun) -> None:
+    """Rounds of one full batch (64 queries in flight at once) for ``seconds``.
+
+    All 64 queries of a round are queued before the service's batch loop
+    wakes, so every round is one 64-wide ``bfs_many``.
+    """
     position = 0
-    start = time.perf_counter()
-    deadline = start + seconds
-
-    async def worker() -> None:
-        nonlocal position
-        while time.perf_counter() < deadline:
-            source = sources[position % len(sources)]
-            position += 1
-            run.closed.append((source, await _query(client, source)))
-
-    await asyncio.gather(*(worker() for _ in range(MAX_BATCH)))
-    run.closed_wall = time.perf_counter() - start
+    deadline = time.perf_counter() + seconds
+    while not run.closed_rounds or time.perf_counter() < deadline:
+        batch = [sources[(position + j) % len(sources)] for j in range(MAX_BATCH)]
+        position += MAX_BATCH
+        t0 = time.perf_counter()
+        replies = await asyncio.gather(*(_query(client, source) for source in batch))
+        run.closed_rounds.append(time.perf_counter() - t0)
+        run.closed.extend(zip(batch, replies))
 
 
 @dataclass
@@ -493,39 +515,30 @@ def _sim_pass(session, pool: list[int], batches: int, run: ServeRun) -> None:
 
 
 async def serve_pass(session, spec: ServeSpec, pool, rng, *, open_n: int,
-                     closed_s: float, scale: HostScale | None = None) -> ServeRun:
-    """Open loop of ``open_n`` queries (skipped when 0), closed loop, sim pass.
-
-    ``scale`` samples the reference kernel around each phase, never during one.
-    """
-
-    def sample() -> None:
-        for _ in range(10 if scale is not None else 0):
-            scale.sample()
-
+                     closed_s: float) -> ServeRun:
+    """Sim pass, then an open loop of ``open_n`` queries (skipped when 0), closed loop."""
     run = ServeRun()
+    _sim_pass(session, pool, spec.sim_batches, run)
     service = BfsService(session)
     async with service:
         client = QueryClient(service)
         gc.collect()
-        sample()
         if open_n:
             sources = [pool[i] for i in rng.integers(0, len(pool), size=open_n)]
             gaps = rng.exponential(1.0 / spec.rate_qps, size=open_n)
             await _open_loop(service, client, sources, gaps, run)
-            sample()
         closed_sources = [pool[i] for i in rng.integers(0, len(pool), size=4 * len(pool))]
         await _closed_loop(client, closed_sources, closed_s, run)
-        sample()
-    _sim_pass(session, pool, spec.sim_batches, run)
     return run
 
 
-def check_serve(run: ServeRun, oracle: Oracle, tally: Tally,
-                factor: float = 1.0) -> dict[str, float]:
+def check_serve(run: ServeRun, oracle: Oracle, tally: Tally) -> dict[str, float]:
     """Oracle-check every reply and sim-pass row; end-to-end serving metrics.
 
-    Host seconds, open-loop latencies included, are multiplied by ``factor``.
+    Host seconds are raw: the reference kernel runs on the event-loop thread
+    while batches run on the service's worker thread, and rescaling by it
+    doubled the spread of closed-loop round times over 4 s windows (0.06 ->
+    0.12 on a 2-vCPU VM).
     """
 
     def check_reply(source, reply) -> int:
@@ -544,8 +557,8 @@ def check_serve(run: ServeRun, oracle: Oracle, tally: Tally,
     for source, reply, due, done in zip(run.open_sources, run.open_replies,
                                         run.open_due, run.open_done):
         ok = check_reply(source, reply) >= 0
-        latencies.append(factor * (done - due) * 1e3 if ok else math.inf)
-    closed_edges = sum(max(0, check_reply(s, r)) for s, r in run.closed)
+        latencies.append((done - due) * 1e3 if ok else math.inf)
+    closed = [edges for edges in (check_reply(s, r) for s, r in run.closed) if edges >= 0]
     sim_edges = 0
     for batch in run.sim:
         for source, row_digest in zip(batch.sources, batch.row_digests):
@@ -555,13 +568,13 @@ def check_serve(run: ServeRun, oracle: Oracle, tally: Tally,
                 tally.fail("mismatch", f"batched source {source}: row differs")
             sim_edges += edges
     sim_s = sum(batch.elapsed for batch in run.sim)
-    closed_s = factor * run.closed_wall
+    closed_s = sum(run.closed_rounds)
     return {
-        "host_teps": closed_edges / closed_s if closed_s else 0.0,
+        "host_teps": sum(closed) / closed_s if closed_s else 0.0,
         "sim_teps": sim_edges / sim_s if sim_s else 0.0,
         "serve_p50_ms": percentile(latencies, 0.50),
         "serve_p99_ms": percentile(latencies, 0.99),
-        "serve_qps": len(run.closed) / closed_s if closed_s else 0.0,
+        "serve_qps": len(closed) / closed_s if closed_s else 0.0,
     }
 
 
@@ -710,7 +723,8 @@ class Outcome:
     units: dict[str, str]
     digest: str
     notes: list[str]
-    #: HostScale factor applied to the host metrics (1 for traced runs)
+    #: mean HostScale factor of the run (1 for traced runs); setup_s and the
+    #: traversal workloads' host metrics apply each operation's own factor
     host_scale: float = 1.0
 
 
@@ -726,13 +740,20 @@ def run_workload(name: str, *, size: str, graph_seed: int, query_seed: int,
     scale = None if trace else HostScale()
     if scale is not None:
         times: list[float] = []
+        scaled: list[float] = []
+        before = scale.sample()
         while len(times) < w.setup_reps or (
             sum(times) < SETUP_MIN_S and len(times) < SETUP_MAX_REPS
         ):
+            # free the previous set-up first: peak_rss_mb is one set-up's peak
+            graph = session = None
+            gc.collect()
             t0 = time.perf_counter()
             graph, session = build(w, graph_seed)
             times.append(time.perf_counter() - t0)
-            scale.sample()
+            after = scale.sample()
+            scaled.append(times[-1] * scale.between(before, after))
+            before = after
     else:
         with tracer.installed():
             graph, session = build(w, graph_seed, tracer)
@@ -741,9 +762,9 @@ def run_workload(name: str, *, size: str, graph_seed: int, query_seed: int,
         metrics, digest = _run_traversals(
             w, session, oracle, tally, query_seed, seconds, tracer, scale)
     else:
-        metrics, digest = _run_serve(w, session, oracle, tally, query_seed, seconds, tracer, scale)
+        metrics, digest = _run_serve(w, session, oracle, tally, query_seed, seconds, tracer)
     if scale is not None:
-        metrics["setup_s"] = scale.factor * statistics.median(times)
+        metrics["setup_s"] = statistics.median(scaled)
         metrics["peak_rss_mb"] = peak_rss_mb()
         metrics = {k: metrics[k] for k in END_TO_END_UNITS}
         units = END_TO_END_UNITS
@@ -763,7 +784,7 @@ def _run_traversals(w, session, oracle, tally, query_seed, seconds, tracer, scal
     if tracer is None:
         runs = traverse(session, sources, seconds, fixed, scale)
         edges = check_traversals(runs, oracle, tally)
-        metrics = traversal_metrics(runs, edges, fixed, scale.factor)
+        metrics = traversal_metrics(runs, edges, fixed)
         return metrics, combine_digests([t.digest for t in runs[:fixed]])
     base = traverse(session, sources, 0.0, fixed)
     base_edges = check_traversals(base, oracle, tally)
@@ -781,15 +802,17 @@ def _run_traversals(w, session, oracle, tally, query_seed, seconds, tracer, scal
     return metrics, digest
 
 
-def _run_serve(w, session, oracle, tally, query_seed, seconds, tracer, scale):
+def _run_serve(w, session, oracle, tally, query_seed, seconds, tracer):
     spec = w.serve
     pool = pick_sources(oracle.graph, query_seed, w.sources)
     rng = np.random.default_rng([query_seed, 0x5E4E])
     if tracer is None:
-        open_n = max(spec.min_open, round(spec.rate_qps * 0.65 * seconds))
+        open_n = round(spec.rate_qps * spec.open_share * seconds)
         run = asyncio.run(serve_pass(session, spec, pool, rng, open_n=open_n,
-                                     closed_s=0.35 * seconds, scale=scale))
-        metrics = check_serve(run, oracle, tally, scale.factor)
+                                     closed_s=(1 - spec.open_share) * seconds))
+        if open_n < P99_MIN_REPLIES:
+            tally.notes.append(f"serve_p99_ms rests on {open_n} < {P99_MIN_REPLIES} replies")
+        metrics = check_serve(run, oracle, tally)
         check_validity(run, spec, tally)
         return metrics, _sim_digest(run)
     base = asyncio.run(serve_pass(session, spec, pool, rng, open_n=0, closed_s=0.25 * seconds))
