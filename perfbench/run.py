@@ -1,6 +1,6 @@
 """Run one benchmark workload and print its metrics as one JSON line.
 
-    python3 perfbench/run.py --workload poisson-2d-raw --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload poisson-2d-raw --seed 1 --seconds 20 --trace 0
 
 ``--trace 0`` prints the end-to-end metrics (untraced), ``--trace 1`` the
 per-layer metrics of a traced run.  ``--seed`` draws the queries (sources
@@ -79,6 +79,22 @@ def _one_malloc_arena() -> None:
         pass
 
 
+def _one_cpu() -> None:
+    """Pin the process, and so every thread it starts, to one CPU (no-op elsewhere).
+
+    Host seconds are rescaled by a reference kernel (``HostScale``), which
+    only tracks the speed of the CPU it runs on.  On a shared 2-vCPU VM one
+    vCPU can run at half the speed of the other, and a thread that migrates
+    between them is timed on one and measured on the other.  The serving
+    workload's worker and event-loop threads take turns under the GIL
+    anyway, so one CPU costs them nothing.  Call before any thread starts.
+    """
+    try:
+        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+    except (OSError, AttributeError, ValueError):
+        pass
+
+
 def _finite(value: float) -> float:
     # a failed query counts as missing every latency limit: report it as the
     # largest float, since JSON has no infinity
@@ -91,6 +107,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     sys.path.insert(0, str(SRC))
     _one_malloc_arena()
+    _one_cpu()
     from workloads import WORKLOAD_NAMES, run_workload
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])

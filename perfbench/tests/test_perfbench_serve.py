@@ -21,7 +21,7 @@ def test_only_correct_replies_count_in_the_closed_loop_rates(oracle):
     refused = QueryReply(ok=False, error="overloaded", error_code="overloaded")
     run = ServeRun(
         closed=[(3, _ok(oracle, 3)), (4, wrong), (5, refused), (6, None)],
-        closed_rounds=[0.25, 0.25],
+        closed_rounds=[(0.0, 0.25), (1.0, 1.25)],
     )
     tally = Tally()
     metrics = check_serve(run, oracle, tally)
@@ -33,7 +33,7 @@ def test_only_correct_replies_count_in_the_closed_loop_rates(oracle):
 def test_a_failed_open_loop_query_misses_every_latency_limit(oracle):
     run = ServeRun(
         open_sources=[3, 4], open_replies=[_ok(oracle, 3), None],
-        open_due=[0.0, 0.0], open_done=[0.1, 0.2], closed_rounds=[1.0],
+        open_due=[0.0, 0.0], open_done=[0.1, 0.2], closed_rounds=[(0.0, 1.0)],
     )
     metrics = check_serve(run, oracle, Tally())
     assert metrics["serve_p50_ms"] == pytest.approx(100.0)

@@ -13,8 +13,8 @@ says which one it reads:
 
 Traversal workloads run a closed loop of single-source ``BfsSession.bfs``
 over a seeded list of non-isolated sources; ``serve-msbfs`` drives the
-batching service with an open-loop seeded Poisson schedule, then a
-closed loop with one full MS-BFS batch (64 queries) in flight.  Oracle
+batching service with a closed loop of one full MS-BFS batch (64
+queries) in flight, then an open-loop seeded Poisson schedule.  Oracle
 checks (``serial_bfs`` levels digests) run outside every timed region.
 """
 
@@ -27,7 +27,7 @@ import math
 import resource
 import statistics
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -61,38 +61,53 @@ class HostScale:
     """Host seconds rescaled to one reference speed of the machine.
 
     The benchmark shares its CPUs with other tenants, whose load slows every
-    instruction stream for tens of seconds at a time: on a 2-vCPU VM the
-    same traversal took 0.28 s in one minute and 0.45 s in the next.  A
-    fixed reference kernel (NumPy sort/unique/bincount plus a Python dict
-    loop, the simulator's own mix) is timed between measured operations,
-    outside every timed region.  While raw traversal times moved by 8%, the
-    ratio of traversal time to kernel time held within 1%, so the host
-    seconds of each operation are reported as ``raw * REFERENCE_S / kernel
-    time``, with the kernel time the mean of the samples just before and just
-    after it: seconds on this machine at the speed where the kernel takes
-    ``REFERENCE_S``.  Over six seeds on a 2-vCPU VM, this per-operation factor
-    left ``host_teps`` spreading 0.048 (poisson-2d-raw) and 0.074
-    (wire-faults), against 0.062 and 0.118 with one mean factor per run and
-    0.156 and 0.052 unscaled.
+    instruction stream for seconds to minutes at a time: on a 2-vCPU VM the
+    same 64-wide MS-BFS batch took 180 ms in one process and 230 ms in the
+    next.  A fixed reference kernel is timed between measured operations,
+    outside every timed region: a level-synchronous NumPy BFS over a fixed
+    random CSR graph (gathers, ``repeat``, visited masks: the simulator's
+    own mix and working-set size) plus a Python dict loop.  The host seconds
+    of each operation are reported as ``raw * REFERENCE_S / kernel time``:
+    seconds on this machine at the speed where the kernel takes
+    ``REFERENCE_S``.  Traversals and set-ups use the mean of the samples
+    just before and just after them; the serving workload samples on its
+    worker thread (``KernelLog``).  Over five processes on a 2-vCPU VM whose
+    batch time spread 26%, the ratio of batch time to kernel time spread 4%
+    (a sort/unique kernel without the graph: 6%).
     """
 
-    REFERENCE_S = 2.5e-3
+    #: about the kernel's time on a 2-vCPU VM, so that reference seconds read
+    #: close to wall seconds there
+    REFERENCE_S = 1.6e-3
 
-    def __init__(self) -> None:
+    def __init__(self, n: int = 10_000, edges: int = 40_000) -> None:
         rng = np.random.default_rng(0)
-        self._values = rng.integers(0, 1 << 20, 20_000)
-        self._keys = rng.integers(0, 4096, 20_000)
+        u, v = rng.integers(0, n, edges), rng.integers(0, n, edges)
+        src, dst = np.concatenate([u, v]), np.concatenate([v, u])
+        self._degree = np.bincount(src, minlength=n)
+        self._indptr = np.concatenate([[0], np.cumsum(self._degree)])
+        self._indices = dst[np.argsort(src, kind="stable")]
+        self._keys = rng.integers(0, 4096, 3000).tolist()
         self._samples: list[float] = []
         for _ in range(5):
             self._kernel()  # warm caches and the allocator
 
     def _kernel(self) -> float:
+        """A level-synchronous BFS over a fixed random CSR graph, then a dict loop."""
         t0 = time.perf_counter()
-        np.sort(self._values)
-        np.unique(self._keys)
-        np.cumsum(np.bincount(self._keys, minlength=4096))[self._keys]
+        level = np.full(self._degree.size, -1, dtype=np.int64)
+        level[0] = 0
+        frontier, depth = np.zeros(1, dtype=np.int64), 0
+        while frontier.size:
+            depth += 1
+            counts = self._degree[frontier]
+            first = np.cumsum(counts) - counts
+            offsets = np.repeat(self._indptr[frontier] - first, counts) + np.arange(counts.sum())
+            reached = self._indices[offsets]
+            level[reached[level[reached] < 0]] = depth
+            frontier = np.flatnonzero(level == depth)
         counts: dict[int, int] = {}
-        for key in self._keys[:3000].tolist():
+        for key in self._keys:
             counts[key] = counts.get(key, 0) + 1
         return time.perf_counter() - t0
 
@@ -112,13 +127,83 @@ class HostScale:
         return self.REFERENCE_S / statistics.fmean(self._samples)
 
 
+@contextmanager
+def session_hook(hook):
+    """Replace ``BfsSession.bfs`` and ``bfs_many`` by ``hook(original)`` on the class.
+
+    On the class, never on an instance, so that the session's own code paths
+    stay the ones it takes untraced.
+    """
+    originals = {attr: BfsSession.__dict__[attr] for attr in ("bfs", "bfs_many")}
+    try:
+        for attr, fn in originals.items():
+            setattr(BfsSession, attr, hook(fn))
+        yield
+    finally:
+        for attr, fn in originals.items():
+            setattr(BfsSession, attr, fn)
+
+
+class KernelLog:
+    """Reference-kernel samples the serving worker takes before each traversal.
+
+    The service traverses on its worker thread while the event loop waits,
+    so the kernel runs there too: on the event-loop thread it would time the
+    wait for the GIL, not the machine.  Each sample is one ``HostScale``
+    sample, taken at the top of every ``BfsSession.bfs``/``bfs_many`` call
+    (``session_hook``).  ``rescale``
+    turns a wall interval into reference seconds: the kernel's own time in
+    it is removed, and the rest is multiplied by the factor of the median
+    sample taken from ``PAD_S`` before it to ``PAD_S`` after it (several
+    batches, so that no single noisy sample sets a query's factor).
+    """
+
+    PAD_S = 1.0
+
+    def __init__(self, scale: HostScale) -> None:
+        self.scale = scale
+        self.starts: list[float] = []
+        self.spent: list[float] = []  # wall seconds each sample took
+        self.kernel: list[float] = []  # the sample's kernel time
+
+    def installed(self):
+        def hook(fn):
+            def sampled(*args, **kwargs):
+                t0 = time.perf_counter()
+                kernel = self.scale.sample()
+                self.starts.append(t0)
+                self.spent.append(time.perf_counter() - t0)
+                self.kernel.append(kernel)
+                return fn(*args, **kwargs)
+            return sampled
+
+        return session_hook(hook)
+
+    def rescale(self, lo, hi) -> np.ndarray:
+        """Reference seconds of the wall intervals ``[lo, hi)`` (arrays).
+
+        An interval with no sample near it keeps its raw length.
+        """
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        starts = np.asarray(self.starts)
+        spent = np.concatenate([[0.0], np.cumsum(self.spent)])
+        a, b = np.searchsorted(starts, lo), np.searchsorted(starts, hi)
+        pa = np.searchsorted(starts, lo - self.PAD_S)
+        pb = np.searchsorted(starts, hi + self.PAD_S)
+        factor = np.array([
+            self.scale.REFERENCE_S / statistics.median(self.kernel[i:j]) if j > i else 1.0
+            for i, j in zip(pa.tolist(), pb.tolist())
+        ])
+        return (hi - lo - (spent[b] - spent[a])) * factor
+
+
 @dataclass(frozen=True)
 class ServeSpec:
     """Open-loop rate and phase sizing for the serving workload."""
 
     rate_qps: float
     #: share of ``--seconds`` the open loop's arrivals span; the closed loop
-    #: runs for the rest
+    #: runs first, for the rest
     open_share: float
     #: fixed 64-wide batches run outside the service for the simulated clock
     sim_batches: int
@@ -173,12 +258,12 @@ def _workloads(size: str) -> dict[str, Workload]:
         ),
         Workload(
             "serve-msbfs",
-            "BfsService batching MS-BFS on 4x4: open-loop Poisson arrivals "
-            "then 64 in flight; mask reduction and queueing",
+            "BfsService batching MS-BFS on 4x4: 64 queries in flight, then "
+            "open-loop Poisson arrivals; mask reduction and queueing",
             poisson, (2, 2) if tiny else (4, 4), sources=32 if tiny else 256,
             setup_reps=reps,
             serve=ServeSpec(
-                rate_qps=120.0, open_share=0.75,
+                rate_qps=100.0, open_share=0.75,
                 sim_batches=1 if tiny else 4,
             ),
         ),
@@ -248,10 +333,8 @@ def sim_counters(result) -> dict[str, float]:
     }
 
 
-@contextmanager
 def collect_results(sink: list[dict]):
-    """Append ``sim_counters`` of every session traversal (class-level hook)."""
-    originals = {attr: BfsSession.__dict__[attr] for attr in ("bfs", "bfs_many")}
+    """Append ``sim_counters`` of every session traversal (``session_hook``)."""
 
     def hook(fn):
         def collected(*args, **kwargs):
@@ -260,13 +343,7 @@ def collect_results(sink: list[dict]):
             return result
         return collected
 
-    try:
-        for attr, fn in originals.items():
-            setattr(BfsSession, attr, hook(fn))
-        yield sink
-    finally:
-        for attr, fn in originals.items():
-            setattr(BfsSession, attr, fn)
+    return session_hook(hook)
 
 
 @dataclass
@@ -436,8 +513,10 @@ class ServeRun:
     open_batched: int = 0
     open_reply_ms: list[float] = field(default_factory=list)
     closed: list[tuple[int, object]] = field(default_factory=list)
-    #: host seconds of each closed-loop round
-    closed_rounds: list[float] = field(default_factory=list)
+    #: wall (start, end) of each closed-loop round
+    closed_rounds: list[tuple[float, float]] = field(default_factory=list)
+    #: the worker's kernel samples (None when unscaled)
+    log: KernelLog | None = None
     sim: list[Batch] = field(default_factory=list)
 
 
@@ -460,6 +539,8 @@ async def _open_loop(service, client, sources, gaps, run: ServeRun) -> None:
         run.open_done[i] = time.perf_counter()
 
     tasks = []
+    batches, batched = service.metrics.batches, service.metrics.batched_queries
+    replied = len(service.metrics.wall_latencies)
     start = time.perf_counter()
     due = start + np.cumsum(gaps)
     run.open_due = [float(d) for d in due]
@@ -472,9 +553,9 @@ async def _open_loop(service, client, sources, gaps, run: ServeRun) -> None:
     run.depth_end = service.health_reply().extra["health"]["queue_depth"]
     await asyncio.gather(*tasks)
     run.open_window = (start, time.perf_counter())
-    run.open_batches = service.metrics.batches
-    run.open_batched = service.metrics.batched_queries
-    run.open_reply_ms = [s * 1e3 for s in service.metrics.wall_latencies[:n]]
+    run.open_batches = service.metrics.batches - batches
+    run.open_batched = service.metrics.batched_queries - batched
+    run.open_reply_ms = [s * 1e3 for s in service.metrics.wall_latencies[replied:]]
 
 
 async def _closed_loop(client, sources, seconds: float, run: ServeRun) -> None:
@@ -490,7 +571,7 @@ async def _closed_loop(client, sources, seconds: float, run: ServeRun) -> None:
         position += MAX_BATCH
         t0 = time.perf_counter()
         replies = await asyncio.gather(*(_query(client, source) for source in batch))
-        run.closed_rounds.append(time.perf_counter() - t0)
+        run.closed_rounds.append((t0, time.perf_counter()))
         run.closed.extend(zip(batch, replies))
 
 
@@ -514,32 +595,43 @@ def _sim_pass(session, pool: list[int], batches: int, run: ServeRun) -> None:
         ))
 
 
-async def serve_pass(session, spec: ServeSpec, pool, rng, *, open_n: int,
-                     closed_s: float) -> ServeRun:
-    """Sim pass, then an open loop of ``open_n`` queries (skipped when 0), closed loop."""
+async def serve_pass(session, spec: ServeSpec, pool, rng, *, open_s: float,
+                     closed_s: float, scale: HostScale | None = None) -> ServeRun:
+    """Sim pass, closed loop for ``closed_s``, open loop for ``open_s`` (skipped when 0).
+
+    With ``scale``, the worker samples the reference kernel before every
+    traversal (``KernelLog``).
+    """
     run = ServeRun()
     _sim_pass(session, pool, spec.sim_batches, run)
+    run.log = KernelLog(scale) if scale is not None else None
     service = BfsService(session)
     async with service:
         client = QueryClient(service)
-        gc.collect()
-        if open_n:
-            sources = [pool[i] for i in rng.integers(0, len(pool), size=open_n)]
-            gaps = rng.exponential(1.0 / spec.rate_qps, size=open_n)
-            await _open_loop(service, client, sources, gaps, run)
-        closed_sources = [pool[i] for i in rng.integers(0, len(pool), size=4 * len(pool))]
-        await _closed_loop(client, closed_sources, closed_s, run)
+        with run.log.installed() if run.log is not None else nullcontext():
+            gc.collect()
+            closed_sources = [pool[i] for i in rng.integers(0, len(pool), size=4 * len(pool))]
+            await _closed_loop(client, closed_sources, closed_s, run)
+            if open_s:
+                open_n = max(1, round(spec.rate_qps * open_s))
+                sources = [pool[i] for i in rng.integers(0, len(pool), size=open_n)]
+                gaps = rng.exponential(1.0 / spec.rate_qps, size=open_n)
+                gc.collect()
+                await _open_loop(service, client, sources, gaps, run)
     return run
 
 
 def check_serve(run: ServeRun, oracle: Oracle, tally: Tally) -> dict[str, float]:
     """Oracle-check every reply and sim-pass row; end-to-end serving metrics.
 
-    Host seconds are raw: the reference kernel runs on the event-loop thread
-    while batches run on the service's worker thread, and rescaling by it
-    doubled the spread of closed-loop round times over 4 s windows (0.06 ->
-    0.12 on a 2-vCPU VM).
+    Host seconds are reference seconds (``KernelLog.rescale``) when the run
+    was scaled.
     """
+
+    def host_s(lo, hi) -> np.ndarray:
+        if run.log is not None:
+            return run.log.rescale(lo, hi)
+        return np.asarray(hi, dtype=float) - np.asarray(lo, dtype=float)
 
     def check_reply(source, reply) -> int:
         tally.attempted += 1
@@ -553,11 +645,10 @@ def check_serve(run: ServeRun, oracle: Oracle, tally: Tally) -> dict[str, float]
             return -1
         return edges
 
-    latencies = []
-    for source, reply, due, done in zip(run.open_sources, run.open_replies,
-                                        run.open_due, run.open_done):
-        ok = check_reply(source, reply) >= 0
-        latencies.append((done - due) * 1e3 if ok else math.inf)
+    ok = [check_reply(source, reply) >= 0
+          for source, reply in zip(run.open_sources, run.open_replies)]
+    done = np.where(ok, run.open_done, run.open_due)  # a failed query's is inf
+    latencies = np.where(ok, host_s(run.open_due, done) * 1e3, math.inf)
     closed = [edges for edges in (check_reply(s, r) for s, r in run.closed) if edges >= 0]
     sim_edges = 0
     for batch in run.sim:
@@ -568,7 +659,7 @@ def check_serve(run: ServeRun, oracle: Oracle, tally: Tally) -> dict[str, float]
                 tally.fail("mismatch", f"batched source {source}: row differs")
             sim_edges += edges
     sim_s = sum(batch.elapsed for batch in run.sim)
-    closed_s = sum(run.closed_rounds)
+    closed_s = float(host_s(*np.reshape(run.closed_rounds, (-1, 2)).T).sum())
     return {
         "host_teps": sum(closed) / closed_s if closed_s else 0.0,
         "sim_teps": sim_edges / sim_s if sim_s else 0.0,
@@ -762,7 +853,8 @@ def run_workload(name: str, *, size: str, graph_seed: int, query_seed: int,
         metrics, digest = _run_traversals(
             w, session, oracle, tally, query_seed, seconds, tracer, scale)
     else:
-        metrics, digest = _run_serve(w, session, oracle, tally, query_seed, seconds, tracer)
+        metrics, digest = _run_serve(
+            w, session, oracle, tally, query_seed, seconds, tracer, scale)
     if scale is not None:
         metrics["setup_s"] = statistics.median(scaled)
         metrics["peak_rss_mb"] = peak_rss_mb()
@@ -802,25 +894,25 @@ def _run_traversals(w, session, oracle, tally, query_seed, seconds, tracer, scal
     return metrics, digest
 
 
-def _run_serve(w, session, oracle, tally, query_seed, seconds, tracer):
+def _run_serve(w, session, oracle, tally, query_seed, seconds, tracer, scale):
     spec = w.serve
     pool = pick_sources(oracle.graph, query_seed, w.sources)
     rng = np.random.default_rng([query_seed, 0x5E4E])
     if tracer is None:
-        open_n = round(spec.rate_qps * spec.open_share * seconds)
-        run = asyncio.run(serve_pass(session, spec, pool, rng, open_n=open_n,
-                                     closed_s=(1 - spec.open_share) * seconds))
-        if open_n < P99_MIN_REPLIES:
-            tally.notes.append(f"serve_p99_ms rests on {open_n} < {P99_MIN_REPLIES} replies")
+        run = asyncio.run(serve_pass(
+            session, spec, pool, rng, open_s=spec.open_share * seconds,
+            closed_s=(1 - spec.open_share) * seconds, scale=scale))
+        if len(run.open_sources) < P99_MIN_REPLIES:
+            tally.notes.append(
+                f"serve_p99_ms rests on {len(run.open_sources)} < {P99_MIN_REPLIES} replies")
         metrics = check_serve(run, oracle, tally)
         check_validity(run, spec, tally)
         return metrics, _sim_digest(run)
-    base = asyncio.run(serve_pass(session, spec, pool, rng, open_n=0, closed_s=0.25 * seconds))
+    base = asyncio.run(serve_pass(session, spec, pool, rng, open_s=0, closed_s=0.25 * seconds))
     untraced = check_serve(base, oracle, tally)["host_teps"]
     sink: list[dict] = []
-    open_n = max(1, round(spec.rate_qps * 0.45 * seconds))
     with tracer.installed(), collect_results(sink):
-        run = asyncio.run(serve_pass(session, spec, pool, rng, open_n=open_n,
+        run = asyncio.run(serve_pass(session, spec, pool, rng, open_s=0.45 * seconds,
                                      closed_s=0.25 * seconds))
     traced = check_serve(run, oracle, tally)["host_teps"]
     spans = tracer.spans()
